@@ -139,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="statically analyze the query first; refuse to "
                         "evaluate on error-severity diagnostics (exit 4), "
                         "print warnings to stderr and continue")
-    p.add_argument("--no-optimize", action="store_true",
-                   help="bypass the planner/cache (naive evaluation)")
     p.add_argument("--repeat", type=int, default=1,
                    help="evaluate N times (N>1 demonstrates warm-cache "
                         "hits in --explain)")
@@ -476,8 +474,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args.store, "--shards requires a sharded store directory "
                             "(build one with `repro shard build`)"
             )
-        if args.no_optimize:
-            wb.engine.optimize = False
         if args.lint:
             diagnostics = wb.analyze(args.query)
             for diag in diagnostics:
@@ -505,12 +501,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f.write(scene.svg_text)
             print(f"density view ({scene.n_groups} chapter(s) x "
                   f"{scene.n_buckets} bucket(s)) -> {args.density}")
-        degradation = wb._shard_degradation() if wb.is_sharded else None
-        if degradation is not None and degradation.is_degraded:
+        if wb.is_sharded and wb.store.degradation().is_degraded:
             # Partial answer: exit 3, distinct from success (0) and
             # errors (1), so scripts cannot mistake a degraded count
             # for a complete one.
-            print(degradation.format_summary(), file=sys.stderr)
+            print(wb.store.degradation().format_summary(), file=sys.stderr)
             return 3
         return 0
 

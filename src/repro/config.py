@@ -243,6 +243,11 @@ class ServingConfig:
 class WorkbenchConfig:
     """Tunables for the :class:`repro.workbench.Workbench` facade.
 
+    The workbench always evaluates queries planned and memoized
+    (:mod:`repro.query.planner`); the naive evaluator is not a serving
+    option but the flat-store reference oracle,
+    ``QueryEngine(store, optimize=False)``.
+
     Attributes:
         seed: master seed for any stochastic operation (e.g. sampling
             histories for a preview rendering).
@@ -255,9 +260,6 @@ class WorkbenchConfig:
         lazy_materialization: when True, ``History`` objects are built only
             for patients actually drawn or exported, while queries run on
             the columnar store.
-        optimize_queries: route queries through the planner/memoization
-            layer (:mod:`repro.query.planner`); turn off to force the
-            naive recursive evaluation.
         analyze_queries: gate every query through the static analyzer
             (:mod:`repro.query.analyze`); error-severity findings are
             refused with :class:`~repro.errors.QueryAnalysisError`
@@ -278,7 +280,6 @@ class WorkbenchConfig:
     detail_cache_size: int = 4_096
     drilldown_rows: int = 512
     lazy_materialization: bool = True
-    optimize_queries: bool = True
     analyze_queries: bool = False
     query_cache_entries: int = 512
     query_cache_bytes: int = 256 * 1024 * 1024

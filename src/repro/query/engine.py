@@ -13,9 +13,11 @@ event masks and patient-id arrays — is memoized in an LRU
 (:class:`repro.query.cache.QueryCache`) keyed by
 ``(store.content_token(), kind, canonical plan key)``.  Iterative
 cohort refinement (the paper's core loop) therefore re-computes only
-the clauses that actually changed.  ``optimize=False`` keeps the naive
-recursive evaluation; the two paths are differentially property-tested
-to be equivalent.
+the clauses that actually changed.  ``optimize=False`` is the naive
+recursive *reference evaluator* for flat stores only — the oracle the
+differential suites check the planned path against; a sharded store
+always evaluates planned, per shard, through its
+:class:`~repro.shard.executor.ParallelExecutor`.
 
 Arrays returned from the optimized path are cached and therefore marked
 read-only; copy before mutating.
@@ -80,8 +82,9 @@ def _check_deadline(deadline) -> None:
 class QueryEngine:
     """Evaluates query ASTs against one :class:`EventStore`.
 
-    ``optimize`` toggles the planning/caching layer (default on);
-    ``cache`` lets several engines share one per-process
+    ``optimize=False`` selects the naive reference evaluator (no
+    planning, no cache; refused on a sharded store); ``cache`` lets
+    several engines share one per-process
     :class:`~repro.query.cache.QueryCache` (entries are keyed by store
     content, so sharing across stores is safe).  ``analyze`` gates
     every :meth:`patients` call through the static analyzer
@@ -106,6 +109,11 @@ class QueryEngine:
         self.analyzer_counters = {"analyzed": 0, "errors": 0, "warnings": 0}
         self._estimator: SelectivityEstimator | None = None
         self._analysis_context = None
+        if not optimize and self.is_sharded:
+            raise QueryError(
+                "optimize=False is the flat-store reference evaluator; "
+                "sharded stores always evaluate planned"
+            )
 
     @property
     def is_sharded(self) -> bool:
@@ -274,7 +282,8 @@ class QueryEngine:
             self.check(expr)
         _check_deadline(deadline)
         if self.is_sharded:
-            return self._scatter_gather(expr, deadline)
+            return self.scatter_executor().patients(
+                self.store, expr, cache=self.cache, deadline=deadline)
         if not self.optimize:
             if isinstance(expr, EventExpr):
                 expr = HasEvent(expr)
@@ -282,19 +291,16 @@ class QueryEngine:
         return self._planned_patients(plan_query(expr).root,
                                       deadline=deadline)
 
-    def _scatter_gather(self, expr: PatientExpr | EventExpr,
-                        deadline=None) -> np.ndarray:
-        """Route a query through the per-shard parallel executor."""
+    def scatter_executor(self):
+        """The sharded store's :class:`~repro.shard.executor.ParallelExecutor`,
+        created on first use (the one executor per engine)."""
         if self.executor is None:
             from repro.shard.executor import (  # noqa: PLC0415 (cycle)
                 ParallelExecutor,
             )
 
             self.executor = ParallelExecutor(config=self.store.config)
-        return self.executor.patients(
-            self.store, expr, optimize=self.optimize, cache=self.cache,
-            deadline=deadline,
-        )
+        return self.executor
 
     def _first_before(self, mask: np.ndarray, day: int) -> np.ndarray:
         """Patients whose first masked event is on/before ``day``.
@@ -447,11 +453,9 @@ class QueryEngine:
             f"cache: {stats.hits} hits, {stats.misses} misses, "
             f"{len(self.cache)} entries",
         ]
-        degradation = getattr(self.store, "degradation", None)
-        if callable(degradation):
-            record = degradation()
-            if record.is_degraded:
-                header.append(record.format_summary())
+        record = self.store.degradation() if self.is_sharded else None
+        if record is not None and record.is_degraded:
+            header.append(record.format_summary())
         header.append("")
         tree = format_plan(plan, self.estimator, is_cached=is_cached)
         diagnostics = self.analyze(expr)
@@ -470,6 +474,6 @@ class QueryEngine:
         """JSON-ready cache counters (the webapp ``/stats`` payload)."""
         payload = self.cache.stats_dict()
         payload["optimize"] = self.optimize
-        if self.executor is not None:
-            payload["executor"] = self.executor.stats_dict()
+        if self.is_sharded:
+            payload["executor"] = self.scatter_executor().stats_dict()
         return payload

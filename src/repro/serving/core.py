@@ -216,6 +216,13 @@ class ResponseCache:
         }
 
 
+def _content_addressed(request: Request) -> bool:
+    """Is this a GET whose 200 body is keyed by a strong ETag?"""
+    return request.method == "GET" and (
+        request.path in _ETAG_ROUTES or request.path.startswith("/patient/")
+    )
+
+
 class RequestCore:
     """Routes :class:`Request` objects over one workbench.
 
@@ -274,7 +281,7 @@ class RequestCore:
         worker is saturated: a stale-but-correct cached body beats a
         shed."""
         try:
-            etag = self._etag_for(request)
+            etag = self._etag_for(request, self._parsed_query(request))
         except ReproError:
             return None
         if etag is None:
@@ -306,7 +313,8 @@ class RequestCore:
         if path == "/debug/sleep" and self.config.debug_routes:
             return self._debug_sleep(request, deadline)
 
-        etag = self._etag_for(request)
+        expr = self._parsed_query(request)
+        etag = self._etag_for(request, expr)
         if etag is not None:
             if self._if_none_match(request, etag):
                 self.counters["etag_304"] += 1
@@ -322,17 +330,17 @@ class RequestCore:
         if path == "/":
             response = self._index()
         elif path == "/cohort":
-            response = self._cohort(request, deadline)
+            response = self._cohort(request, expr, deadline)
         elif path == "/cohort/density":
-            response = self._cohort_density(request, deadline)
+            response = self._cohort_density(request, expr, deadline)
         elif path == "/cohort/flow":
-            response = self._cohort_flow(request, deadline)
+            response = self._cohort_flow(request, expr, deadline)
         elif path == "/analyze":
-            response = self._analyze(request)
+            response = self._analyze(request, expr)
         elif path == "/timeline.svg":
-            response = self._timeline(request, deadline)
+            response = self._timeline(request, expr, deadline)
         elif path == "/overview.svg":
-            response = self._overview(request, deadline)
+            response = self._overview(request, expr, deadline)
         elif path.startswith("/patient/"):
             response = self._patient(request, deadline)
         else:
@@ -358,31 +366,39 @@ class RequestCore:
 
     # -- HTTP caching --------------------------------------------------------
 
-    def _etag_for(self, request: Request) -> str | None:
+    def _parsed_query(self, request: Request):
+        """The AST of ``q`` for a content-addressed GET, or None.
+
+        Parsed once per request: the ETag and the route handler share
+        the result.  Raises :class:`~repro.errors.QueryError` on an
+        unparseable ``q`` so the route's own 400 path reports it.
+        """
+        query = request.param("q")
+        if not query or not _content_addressed(request):
+            return None
+        return parse_query(query)
+
+    def _etag_for(self, request: Request, expr) -> str | None:
         """The strong ETag for a cacheable GET, or None.
 
         Derived from the store ``content_token`` (content-addresses the
-        data), the canonical plan key of ``q`` (two spellings of the
-        same query share SVG renderings), the raw query text for routes
-        that echo it back, the remaining parameters, and the degraded
-        set (a quarantined shard changes every answer).  Raises
-        :class:`~repro.errors.QueryError` on an unparseable ``q`` so
-        the route's own 400 path reports it.
+        data), the canonical plan key of ``expr`` — the request's parsed
+        ``q``, so two spellings of the same query share SVG renderings —
+        the raw query text for routes that echo it back, the remaining
+        parameters, and the degraded set (a quarantined shard changes
+        every answer).
         """
+        if not _content_addressed(request):
+            return None
         path = request.path
-        if request.method != "GET":
-            return None
-        if path not in _ETAG_ROUTES and not path.startswith("/patient/"):
-            return None
         parts = [self.workbench.store.content_token(), path]
-        query = request.param("q")
-        if query:
-            parts.append(plan_query(parse_query(query)).key)
+        if expr is not None:
+            parts.append(plan_query(expr).key)
         if path in ("/cohort", "/analyze"):
             # These bodies echo the raw query text (form value, JSON
             # "query" field), so equivalent-but-differently-written
             # queries must not share a representation.
-            parts.append(query)
+            parts.append(request.param("q"))
         for name in sorted(self.workbench.degraded_sources):
             parts.append(f"degraded:{name}")
         for name in sorted(request.params):
@@ -481,21 +497,18 @@ class RequestCore:
         # Zero-healthy-replica shards: on a replicated store, failover
         # masks single-replica damage exactly, so readiness only trips
         # when a shard has run out of replicas entirely.
-        replication_stats = getattr(
-            self.workbench.store, "replication_stats", None
-        )
-        if callable(replication_stats):
-            replication = replication_stats()
-            if replication.get("replication", 1) > 1:
-                for name in replication.get("zero_healthy_shards") or []:
+        ingestion = None
+        if self.workbench.is_sharded:
+            replication = self.workbench.store.replication_stats()
+            if replication["replication"] > 1:
+                for name in replication["zero_healthy_shards"]:
                     reasons.append(
                         f"zero healthy replicas: {name} (run shard scrub "
                         f"or shard repair)"
                     )
-        # Compaction lag (manifest metadata only — no query execution,
-        # so readiness stays cheap and deadline-free).
-        delta_stats = getattr(self.workbench.store, "delta_stats", None)
-        ingestion = delta_stats() if callable(delta_stats) else None
+            # Compaction lag (manifest metadata only — no query
+            # execution, so readiness stays cheap and deadline-free).
+            ingestion = self.workbench.store.delta_stats()
         limit = self.config.max_pending_deltas
         if ingestion is not None and limit is not None \
                 and ingestion["pending_deltas"] > limit:
@@ -593,25 +606,24 @@ class RequestCore:
         )
         return self._page("PAsTAs workbench", body)
 
-    def _analyze(self, request: Request) -> Response:
-        query = request.param("q")
-        if not query:
+    def _analyze(self, request: Request, expr) -> Response:
+        if expr is None:
             raise QueryError("missing query parameter 'q'")
-        diagnostics = self.workbench.analyze(query)
+        diagnostics = self.workbench.analyze(expr)
         payload = {
-            "query": query,
+            "query": request.param("q"),
             "ok": not any(d.severity == "error" for d in diagnostics),
             "diagnostics": [d.to_json() for d in diagnostics],
         }
         return Response.json(payload)
 
-    def _cohort(self, request: Request,
+    def _cohort(self, request: Request, expr,
                 deadline: Deadline | None) -> Response:
         query = request.param("q")
-        if not query:
+        if expr is None:
             return self._page("Cohort", "<p class='err'>empty query</p>",
                               status=400)
-        diagnostics = self.workbench.analyze(query)
+        diagnostics = self.workbench.analyze(expr)
         if any(d.severity == "error" for d in diagnostics):
             return self._page(
                 "Query rejected",
@@ -621,7 +633,7 @@ class RequestCore:
                 query=query, status=400,
             )
         self.counters["queries_executed"] += 1
-        ids = self.workbench.select(query, deadline=deadline)
+        ids = self.workbench.select(expr, deadline=deadline)
         self._check_deadline(deadline)
         stats = self.workbench.stats(ids)
         self.counters["renders"] += 1
@@ -645,9 +657,8 @@ class RequestCore:
         )
         return self._page("Cohort", body, query=query)
 
-    def _timeline(self, request: Request,
+    def _timeline(self, request: Request, expr,
                   deadline: Deadline | None) -> Response:
-        query = request.param("q")
         rows = request.int_param("rows", 100)
         align = request.param("align")
         if align and not _CONCEPT_RE.match(align):
@@ -655,9 +666,9 @@ class RequestCore:
                 f"query parameter 'align' must be a concept code "
                 f"(e.g. T90), got {align!r}"
             )
-        if query:
+        if expr is not None:
             self.counters["queries_executed"] += 1
-            ids = self.workbench.select(query, deadline=deadline)
+            ids = self.workbench.select(expr, deadline=deadline)
         else:
             ids = self.workbench.store.patient_ids
         ids = ids[: max(1, min(rows, 2_000))]
@@ -672,12 +683,11 @@ class RequestCore:
             scene = self.workbench.timeline(ids)
         return Response.text(scene.svg_text, "image/svg+xml")
 
-    def _overview(self, request: Request,
+    def _overview(self, request: Request, expr,
                   deadline: Deadline | None) -> Response:
-        query = request.param("q")
-        if query:
+        if expr is not None:
             self.counters["queries_executed"] += 1
-            ids = self.workbench.select(query, deadline=deadline)
+            ids = self.workbench.select(expr, deadline=deadline)
         else:
             ids = None
         self._check_deadline(deadline)
@@ -685,40 +695,38 @@ class RequestCore:
         scene = self.workbench.overview(ids)
         return Response.text(scene.svg_text, "image/svg+xml")
 
-    def _cohort_sketch_for(self, request: Request,
-                           deadline: Deadline | None):
+    def _cohort_sketch_for(self, expr, deadline: Deadline | None):
         """The request's cohort sketch (``q`` refines; empty = whole store).
 
         Served from per-segment sidecar folds — no per-patient rows
         materialize on this path regardless of cohort size."""
-        query = request.param("q") or None
-        if query:
+        if expr is not None:
             self.counters["queries_executed"] += 1
         self._check_deadline(deadline)
-        sketch = self.workbench.cohort_sketch(query, deadline=deadline)
+        sketch = self.workbench.cohort_sketch(expr, deadline=deadline)
         self._check_deadline(deadline)
         return sketch
 
-    def _cohort_density(self, request: Request,
+    def _cohort_density(self, request: Request, expr,
                         deadline: Deadline | None) -> Response:
         from repro.viz.cohort_views import (  # noqa: PLC0415 (cycle)
             render_cohort_density,
         )
 
-        sketch = self._cohort_sketch_for(request, deadline)
+        sketch = self._cohort_sketch_for(expr, deadline)
         if request.param("format") == "json":
             return Response.json(sketch.summary())
         self.counters["renders"] += 1
         scene = render_cohort_density(sketch)
         return Response.text(scene.svg_text, "image/svg+xml")
 
-    def _cohort_flow(self, request: Request,
+    def _cohort_flow(self, request: Request, expr,
                      deadline: Deadline | None) -> Response:
         from repro.viz.cohort_views import (  # noqa: PLC0415 (cycle)
             render_cohort_flow,
         )
 
-        sketch = self._cohort_sketch_for(request, deadline)
+        sketch = self._cohort_sketch_for(expr, deadline)
         if request.param("format") == "json":
             return Response.json({
                 "n_patients": int(sketch.n_patients),

@@ -8,27 +8,31 @@ universe is the shard's own demographics table) evaluates correctly on
 each shard's disjoint universe, and the global answer is the sorted
 union of the per-shard answers.
 
-:class:`ParallelExecutor` runs that per-shard evaluation either
+:class:`ParallelExecutor` has one scatter-gather path: it runs a
+per-shard *task* (``_shard_patients`` or ``_shard_sketch``, module-level
+functions ``(sharded, index, expr, cache) -> part``) on every serving
+shard, and :meth:`~ParallelExecutor.patients` /
+:meth:`~ParallelExecutor.sketch_shards` merge the parts.  A task runs
 
-* **serially** in-process — each shard gets a
+* **serially** in-process — each shard gets a planned
   :class:`~repro.query.engine.QueryEngine` sharing one
   :class:`~repro.query.cache.QueryCache`, whose keys already include the
   per-shard ``content_token``, so memoization works unchanged at shard
   granularity; or
 * **in parallel** via a lazily spawned ``ProcessPoolExecutor`` — workers
   open their own memory-mapped shard handles (cached per process) and
-  return plain patient-id arrays.
+  return plain numpy results.
 
 The executor is *self-healing*, at two granularities:
 
-* **Per shard**: a failed or timed-out shard evaluation is retried
-  in-process with the seeded backoff of
-  :class:`~repro.resilience.retry.RetryPolicy`; a per-shard
-  :class:`~repro.resilience.circuit.CircuitBreaker` tracks consecutive
-  failures.  Definite damage (checksum/format errors) skips the retries.
-  When the store was opened with ``on_damage="quarantine"``, an
-  exhausted shard is quarantined at query time and the query completes
-  degraded; under the strict default the error propagates.
+* **Per shard**: a failed or timed-out task is retried in-process with
+  the seeded backoff of :class:`~repro.resilience.retry.RetryPolicy`; a
+  per-shard :class:`~repro.resilience.circuit.CircuitBreaker` tracks
+  consecutive failures.  Definite damage (checksum/format errors) skips
+  the retries.  When the store was opened with
+  ``on_damage="quarantine"``, an exhausted shard is quarantined at query
+  time and the query completes degraded; under the strict default the
+  error propagates.
 * **Per pool**: pool-infrastructure failures (a dead worker, an
   unpicklable environment, fork refusal) fall back to the serial path
   for the failing query, then *probe* parallel again on the next query,
@@ -73,11 +77,38 @@ _WORKER_CACHE = QueryCache()
 #: Errors that mean "this shard's bytes are damaged" — retrying cannot
 #: help, so the recovery path goes straight to quarantine-or-raise.
 _DEFINITE_DAMAGE = (ShardChecksumError, ShardFormatError)
+#: Errors one shard's task may raise that per-shard recovery handles.
+_SHARD_FAILURES = (ShardStoreError, DeadlineExceededError, OSError)
 
 
-def _eval_shard(path: str, index: int, expr, optimize: bool,
-                verify_checksums: bool, revision: int = 0):
-    """Worker entry point: evaluate one query on one shard.
+def _shard_patients(sharded, index: int, expr, cache) -> np.ndarray:
+    """Task: the sorted ids of shard ``index``'s patients matching ``expr``."""
+    engine = QueryEngine(sharded.shard(index), cache=cache)
+    return np.asarray(engine.patients(expr))
+
+
+def _shard_sketch(sharded, index: int, expr, cache):
+    """Task: the sketch of shard ``index``'s patients matching ``expr``.
+
+    ``expr=None`` is the whole-shard sketch (pure sidecar fold — no
+    rows touched).  With a query, the shard evaluates it locally and
+    sketches only the matching patients' rows — the *refinement* step
+    of aggregate-first rendering.  A sketch is a few kilobytes of numpy
+    arrays, independent of shard row count, so it pickles back cheaply.
+    """
+    from repro.shard.writer import subset_store  # noqa: PLC0415 (cycle)
+    from repro.sketch import build_sketch  # noqa: PLC0415 (cycle)
+
+    if expr is None:
+        return sharded.shard_sketch(index)
+    shard = sharded.shard(index)
+    ids = QueryEngine(shard, cache=cache).patients(expr)
+    return build_sketch(subset_store(shard, np.asarray(ids)))
+
+
+def _run_shard(task, path: str, index: int, expr,
+               verify_checksums: bool, revision: int):
+    """Worker entry point: run ``task`` on one shard.
 
     ``revision`` is the parent's view of the store's root-manifest
     revision.  A cached worker store on a different revision is stale —
@@ -87,11 +118,11 @@ def _eval_shard(path: str, index: int, expr, optimize: bool,
     are retained through one compaction (``keep_generations``), so a
     worker one revision behind still resolves; further behind, the
     failure surfaces as an ordinary shard error and the parent's
-    recovery path re-evaluates serially against its own manifest.
+    recovery path re-runs the task serially against its own manifest.
 
-    Returns ``(patient_ids, replica_failovers)`` — the second element
-    is how many replica failovers the worker's store performed for this
-    call, so the parent can aggregate failovers that would otherwise be
+    Returns ``(result, replica_failovers)`` — the second element is how
+    many replica failovers the worker's store performed for this call,
+    so the parent can aggregate failovers that would otherwise be
     invisible inside worker processes.
     """
     from repro.resilience.faults import claim_worker_kill  # noqa: PLC0415
@@ -108,58 +139,8 @@ def _eval_shard(path: str, index: int, expr, optimize: bool,
         )
         _WORKER_STORES[path] = sharded
     before = sharded.counters.get("replica_failovers", 0)
-    engine = QueryEngine(sharded.shard(index), optimize=optimize,
-                         cache=_WORKER_CACHE)
-    ids = np.asarray(engine.patients(expr))
-    return ids, sharded.counters.get("replica_failovers", 0) - before
-
-
-def _masked_shard_sketch(sharded, index: int, expr, optimize: bool, cache):
-    """The sketch of the patients in shard ``index`` matching ``expr``.
-
-    ``expr=None`` is the whole-shard sketch (pure sidecar fold — no
-    rows touched).  With a query, the shard evaluates it locally and
-    sketches only the matching patients' rows — the *refinement* step
-    of aggregate-first rendering, shard-parallel by construction.
-    """
-    from repro.shard.writer import subset_store  # noqa: PLC0415 (cycle)
-    from repro.sketch import build_sketch  # noqa: PLC0415 (cycle)
-
-    if expr is None:
-        return sharded.shard_sketch(index)
-    shard = sharded.shard(index)
-    engine = QueryEngine(shard, optimize=optimize, cache=cache)
-    pids = np.asarray(engine.patients(expr))
-    return build_sketch(subset_store(shard, pids))
-
-
-def _sketch_shard(path: str, index: int, expr, optimize: bool,
-                  verify_checksums: bool, revision: int = 0):
-    """Worker entry point: sketch one shard's (masked) cohort.
-
-    Same worker-store cache, revision handshake and
-    ``(result, replica_failovers)`` return shape as :func:`_eval_shard`;
-    the :class:`CohortSketch` is a plain bundle of numpy arrays, so it
-    pickles back to the parent cheaply (kilobytes, independent of shard
-    row count).
-    """
-    from repro.resilience.faults import claim_worker_kill  # noqa: PLC0415
-    from repro.shard.store import ShardedEventStore  # noqa: PLC0415 (cycle)
-
-    if claim_worker_kill():
-        import os
-
-        os._exit(43)  # simulate a hard worker crash (chaos harness)
-    sharded = _WORKER_STORES.get(path)
-    if sharded is None or sharded.revision != revision:
-        sharded = ShardedEventStore(
-            path, config=ShardConfig(verify_checksums=verify_checksums)
-        )
-        _WORKER_STORES[path] = sharded
-    before = sharded.counters.get("replica_failovers", 0)
-    sketch = _masked_shard_sketch(sharded, index, expr, optimize,
-                                  _WORKER_CACHE)
-    return sketch, sharded.counters.get("replica_failovers", 0) - before
+    result = task(sharded, index, expr, _WORKER_CACHE)
+    return result, sharded.counters.get("replica_failovers", 0) - before
 
 
 def _merge_patient_results(parts: list[np.ndarray]) -> np.ndarray:
@@ -171,7 +152,7 @@ def _merge_patient_results(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class ParallelExecutor:
-    """Evaluates queries shard-by-shard and merges patient-id results.
+    """Evaluates queries shard-by-shard and merges the per-shard parts.
 
     One executor is meant to live as long as its engine (the pool, the
     serial-path cache, the circuit breakers and the counters are all
@@ -214,8 +195,7 @@ class ParallelExecutor:
 
     # -- execution -----------------------------------------------------------
 
-    def patients(self, sharded, expr, optimize: bool = True,
-                 cache: QueryCache | None = None,
+    def patients(self, sharded, expr, cache: QueryCache | None = None,
                  deadline=None) -> np.ndarray:
         """Sorted patient ids matching ``expr`` across every serving shard.
 
@@ -229,9 +209,39 @@ class ParallelExecutor:
         :class:`~repro.errors.DeadlineExceededError` to the caller (the
         serving tier's 503) instead of queueing behind a stuck shard.
         """
+        return _merge_patient_results(
+            self._scatter(sharded, _shard_patients, expr, cache, deadline))
+
+    def sketch_shards(self, sharded, expr, cache: QueryCache | None = None,
+                      deadline=None):
+        """A query-masked :class:`CohortSketch`, folded across shards.
+
+        Each shard evaluates ``expr`` locally and sketches only its
+        matching patients (``expr=None`` folds the persisted sidecars
+        instead); per-shard sketches merge associatively, so the result
+        equals the sketch of the global cohort.  ``cache`` and
+        ``deadline`` mean what they mean for :meth:`patients`.
+        """
+        from repro.sketch import merge_sketches  # noqa: PLC0415 (cycle)
+
+        self.sketch_queries += 1
+        return merge_sketches(
+            self._scatter(sharded, _shard_sketch, expr, cache, deadline))
+
+    def _scatter(self, sharded, task, expr, cache: QueryCache | None,
+                 deadline) -> list:
+        """Run ``task`` on every serving shard; the per-shard parts.
+
+        Tries the process pool when it is usable — a crashed pool is
+        re-probed once per query, each probe spending one rebuild, until
+        ``max_pool_rebuilds`` makes the serial path permanent — and
+        finishes the query serially when the pool breaks under it.
+        """
         self.queries += 1
-        self.shards_scanned += len(self._active(sharded))
+        indices = sharded.active_indices()
+        self.shards_scanned += len(indices)
         self._check_request_deadline(deadline)
+        cache = cache if cache is not None else self.cache
         if self.n_workers > 1 and sharded.n_shards > 1 \
                 and not self._pool_broken:
             if self._pool_failed:
@@ -245,7 +255,7 @@ class ParallelExecutor:
                     self._pool_failed = False
             if not self._pool_failed and not self._pool_broken:
                 try:
-                    return self._parallel(sharded, expr, optimize, cache,
+                    return self._parallel(sharded, task, expr, cache,
                                           deadline)
                 except (BrokenProcessPool, PicklingError, OSError):
                     # Pool infrastructure failed (worker died mid-query,
@@ -255,120 +265,70 @@ class ParallelExecutor:
                     self.pool_fallbacks += 1
                     self._pool_failed = True
                     self._shutdown_pool()
-        return self._serial(sharded, expr, optimize, cache, deadline)
-
-    def sketch_shards(self, sharded, expr, optimize: bool = True,
-                      cache: QueryCache | None = None, deadline=None):
-        """A query-masked :class:`CohortSketch`, folded across shards.
-
-        Each shard evaluates ``expr`` locally and sketches only its
-        matching patients (``expr=None`` folds the persisted sidecars
-        instead); per-shard sketches merge associatively, so the result
-        equals the sketch of the global cohort.  Shares the pool,
-        fallback ladder, per-shard recovery and deadline semantics of
-        :meth:`patients`.
-        """
-        self.queries += 1
-        self.sketch_queries += 1
-        self.shards_scanned += len(self._active(sharded))
-        self._check_request_deadline(deadline)
-        if self.n_workers > 1 and sharded.n_shards > 1 \
-                and not self._pool_broken:
-            if self._pool_failed:
-                if self.pool_rebuilds >= self.config.max_pool_rebuilds:
-                    self._pool_broken = True
-                else:
-                    self.pool_rebuilds += 1
-                    self._pool_failed = False
-            if not self._pool_failed and not self._pool_broken:
-                try:
-                    return self._parallel_sketch(sharded, expr, optimize,
-                                                 cache, deadline)
-                except (BrokenProcessPool, PicklingError, OSError):
-                    self.pool_failures += 1
-                    self.pool_fallbacks += 1
-                    self._pool_failed = True
-                    self._shutdown_pool()
-        return self._serial_sketch(sharded, expr, optimize, cache, deadline)
-
-    def _serial_sketch(self, sharded, expr, optimize: bool,
-                       cache: QueryCache | None, deadline=None):
-        from repro.sketch import merge_sketches  # noqa: PLC0415 (cycle)
-
         self.serial_queries += 1
-        shared = cache if cache is not None else self.cache
-        parts = []
-        for index in self._active(sharded):
-            self._check_request_deadline(deadline)
+        return self._gather(sharded, task, expr, cache, deadline,
+                            dict.fromkeys(indices))
 
-            def evaluate(index=index):
-                return _masked_shard_sketch(sharded, index, expr, optimize,
-                                            shared)
-
-            try:
-                part = evaluate()
-            except (ShardStoreError, DeadlineExceededError, OSError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline,
-                                           eval_fn=evaluate)
-            if part is not None:
-                parts.append(part)
-        return merge_sketches(parts)
-
-    def _parallel_sketch(self, sharded, expr, optimize: bool,
-                         cache: QueryCache | None, deadline=None):
-        from repro.sketch import merge_sketches  # noqa: PLC0415 (cycle)
-
+    def _parallel(self, sharded, task, expr, cache: QueryCache,
+                  deadline) -> list:
+        """Submit ``task`` for every serving shard to the pool, then
+        gather; pool-level failures propagate to :meth:`_scatter`."""
         pool = self._ensure_pool()
-        shared = cache if cache is not None else self.cache
-        futures = [
-            (index,
-             pool.submit(_sketch_shard, sharded.path, index, expr, optimize,
-                         sharded.config.verify_checksums,
-                         getattr(sharded, "revision", 0)))
-            for index in self._active(sharded)
-        ]
+        futures = {
+            index: pool.submit(_run_shard, task, sharded.path, index, expr,
+                               sharded.config.verify_checksums,
+                               sharded.revision)
+            for index in sharded.active_indices()
+        }
+        parts = self._gather(sharded, task, expr, cache, deadline, futures)
+        self.parallel_queries += 1
+        return parts
+
+    def _gather(self, sharded, task, expr, cache: QueryCache, deadline,
+                futures: dict) -> list:
+        """One part per shard: a pool future's result, or (``None``
+        future) the task run in-process.  A failed shard goes through
+        :meth:`_recover_shard`; a quarantined one contributes no part."""
         parts = []
-        for index, future in futures:
+        for index, future in futures.items():
             self._check_request_deadline(deadline)
-            timeout = self.config.shard_timeout_s
-            if deadline is not None:
-                remaining = max(0.001, deadline.remaining())
-                timeout = (remaining if timeout is None
-                           else min(timeout, remaining))
-
-            def evaluate(index=index):
-                return _masked_shard_sketch(sharded, index, expr, optimize,
-                                            shared)
-
             try:
-                part, failed_over = future.result(timeout=timeout)
-                self.replica_failovers += int(failed_over)
+                if future is None:
+                    part = task(sharded, index, expr, cache)
+                else:
+                    part = self._result(sharded, index, future, deadline)
                 self._breaker(sharded, index).record_success()
-            except (BrokenProcessPool, PicklingError):
-                raise  # pool-level failure: the caller rebuilds/falls back
-            except _FuturesTimeout:
+            except _SHARD_FAILURES as exc:
+                # A spent request budget is the caller's error, never
+                # charged to the shard that happened to be running.
                 self._check_request_deadline(deadline)
-                exc = DeadlineExceededError(
-                    f"shard {self._shard_name(sharded, index)} exceeded "
-                    f"the {self.config.shard_timeout_s}s per-shard budget"
-                )
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline,
-                                           eval_fn=evaluate)
-            except (ShardStoreError, DeadlineExceededError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline,
-                                           eval_fn=evaluate)
+                part = self._recover_shard(sharded, task, index, expr,
+                                           cache, exc, deadline)
             if part is not None:
                 parts.append(part)
-        self.parallel_queries += 1
-        return merge_sketches(parts)
+        return parts
+
+    def _result(self, sharded, index: int, future, deadline):
+        """Await one worker's part within the per-shard and request
+        budgets; a straggler's eventual result is discarded."""
+        timeout = self.config.shard_timeout_s
+        if deadline is not None:
+            remaining = max(0.001, deadline.remaining())
+            timeout = remaining if timeout is None else min(timeout, remaining)
+        try:
+            part, failed_over = future.result(timeout=timeout)
+        except _FuturesTimeout:
+            raise DeadlineExceededError(
+                f"shard {self._shard_name(sharded, index)} exceeded "
+                f"the {self.config.shard_timeout_s}s per-shard budget"
+            ) from None
+        self.replica_failovers += int(failed_over)
+        return part
 
     def _check_request_deadline(self, deadline) -> None:
         """Raise when the caller's request budget is already spent.
 
-        Deliberately *outside* the per-shard try blocks: a request-level
+        Deliberately *outside* the per-shard recovery: a request-level
         deadline overrun must propagate to the caller, never be retried
         or quarantined like a shard failure.
         """
@@ -377,88 +337,8 @@ class ParallelExecutor:
                 "scatter-gather query exceeded its request deadline"
             )
 
-    def _active(self, sharded) -> list[int]:
-        indices = getattr(sharded, "active_indices", None)
-        if callable(indices):
-            return list(indices())
-        return list(range(sharded.n_shards))
-
     def _shard_name(self, sharded, index: int) -> str:
-        entries = getattr(sharded, "shard_entries", None)
-        if entries is not None:
-            return str(entries[index]["name"])
-        return f"shard-{index:04d}"
-
-    def _serial(self, sharded, expr, optimize: bool,
-                cache: QueryCache | None, deadline=None) -> np.ndarray:
-        self.serial_queries += 1
-        shared = cache if cache is not None else self.cache
-        parts = []
-        for index in self._active(sharded):
-            self._check_request_deadline(deadline)
-            try:
-                part = self._eval_serial(sharded, index, expr, optimize,
-                                         shared)
-            except (ShardStoreError, DeadlineExceededError, OSError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline)
-            if part is not None:
-                parts.append(part)
-        return _merge_patient_results(parts)
-
-    def _eval_serial(self, sharded, index: int, expr, optimize: bool,
-                     cache: QueryCache) -> np.ndarray:
-        engine = QueryEngine(sharded.shard(index), optimize=optimize,
-                             cache=cache)
-        return np.asarray(engine.patients(expr))
-
-    def _parallel(self, sharded, expr, optimize: bool,
-                  cache: QueryCache | None, deadline=None) -> np.ndarray:
-        pool = self._ensure_pool()
-        shared = cache if cache is not None else self.cache
-        futures = [
-            (index,
-             pool.submit(_eval_shard, sharded.path, index, expr, optimize,
-                         sharded.config.verify_checksums,
-                         getattr(sharded, "revision", 0)))
-            for index in self._active(sharded)
-        ]
-        parts = []
-        for index, future in futures:
-            self._check_request_deadline(deadline)
-            timeout = self.config.shard_timeout_s
-            if deadline is not None:
-                remaining = max(0.001, deadline.remaining())
-                timeout = (remaining if timeout is None
-                           else min(timeout, remaining))
-            try:
-                part, failed_over = future.result(timeout=timeout)
-                part = np.asarray(part)
-                self.replica_failovers += int(failed_over)
-                self._breaker(sharded, index).record_success()
-            except (BrokenProcessPool, PicklingError):
-                raise  # pool-level failure: the caller rebuilds/falls back
-            except _FuturesTimeout:
-                # Request budget spent while awaiting the worker: the
-                # caller gets the deadline error (a 503 upstream), and
-                # the straggler's eventual result is discarded.
-                self._check_request_deadline(deadline)
-                # Otherwise the worker is still grinding past its
-                # per-shard budget; the query cannot wait.  Re-evaluate
-                # in-process through the recovery path.
-                exc = DeadlineExceededError(
-                    f"shard {self._shard_name(sharded, index)} exceeded "
-                    f"the {self.config.shard_timeout_s}s per-shard budget"
-                )
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline)
-            except (ShardStoreError, DeadlineExceededError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline)
-            if part is not None:
-                parts.append(part)
-        self.parallel_queries += 1
-        return _merge_patient_results(parts)
+        return str(sharded.shard_entries[index]["name"])
 
     # -- per-shard recovery --------------------------------------------------
 
@@ -475,18 +355,17 @@ class ParallelExecutor:
             self._breakers[name] = breaker
         return breaker
 
-    def _recover_shard(self, sharded, index: int, expr, optimize: bool,
-                       cache: QueryCache, exc: Exception, deadline=None,
-                       eval_fn=None):
-        """One shard failed: retry in-process, then quarantine or raise.
+    def _recover_shard(self, sharded, task, index: int, expr,
+                       cache: QueryCache, exc: Exception, deadline=None):
+        """One shard failed: retry ``task`` in-process, then quarantine
+        or raise.
 
-        Returns the shard's result on a successful retry (a patient-id
-        array, or a sketch when ``eval_fn`` overrides the evaluation),
-        ``None`` when the shard was quarantined (the query completes
-        degraded), and re-raises when the store's policy is the strict
-        default ``on_damage="fail"``.  A spent request ``deadline``
-        aborts the retry schedule immediately — recovery must not spend
-        wall clock the request no longer has.
+        Returns the task's part on a successful retry, ``None`` when the
+        shard was quarantined (the query completes degraded), and
+        re-raises when the store's policy is the strict default
+        ``on_damage="fail"``.  A spent request ``deadline`` aborts the
+        retry schedule immediately — recovery must not spend wall clock
+        the request no longer has.
 
         On a replicated store, a *transient* failure (timeout, open
         error) first rotates the shard's preferred replica — a worker
@@ -499,21 +378,15 @@ class ParallelExecutor:
         breaker.record_failure(str(exc))
         definite = isinstance(exc, _DEFINITE_DAMAGE)
         if not definite:
-            advance = getattr(sharded, "advance_replica", None)
-            if callable(advance) and advance(index):
+            if sharded.advance_replica(index):
                 self.replica_advances += 1
             for attempt in range(self._retry_policy.max_retries):
                 self._check_request_deadline(deadline)
                 self.shard_retries += 1
                 self._sleep(self._retry_policy.delay_for(attempt, self._rng))
                 try:
-                    if eval_fn is not None:
-                        part = eval_fn()
-                    else:
-                        part = self._eval_serial(sharded, index, expr,
-                                                 optimize, cache)
-                except (ShardStoreError, DeadlineExceededError,
-                        OSError) as retry_exc:
+                    part = task(sharded, index, expr, cache)
+                except _SHARD_FAILURES as retry_exc:
                     breaker.record_failure(str(retry_exc))
                     exc = retry_exc
                     if isinstance(retry_exc, _DEFINITE_DAMAGE):
@@ -522,11 +395,9 @@ class ParallelExecutor:
                 else:
                     breaker.record_success()
                     return part
-        quarantine = getattr(sharded, "quarantine_shard", None)
-        policy = getattr(sharded.config, "on_damage", "fail")
         if (definite or not breaker.allow()) \
-                and policy == "quarantine" and callable(quarantine):
-            quarantine(index, type(exc).__name__, str(exc))
+                and sharded.config.on_damage == "quarantine":
+            sharded.quarantine_shard(index, type(exc).__name__, str(exc))
             self.query_time_quarantines += 1
             return None
         raise exc

@@ -61,16 +61,6 @@ def test_query_explain_output_pinned(tmp_path, capsys):
     _check_golden("query_explain.txt", capsys.readouterr().out)
 
 
-def test_query_no_optimize_count_matches(tmp_path, capsys):
-    """The naive path agrees with the pinned optimized count."""
-    store_path = str(tmp_path / "golden.npz")
-    save_store(_golden_store(), store_path)
-    assert cli_main(["query", store_path, _QUERY, "--no-optimize"]) == 0
-    naive_line = capsys.readouterr().out.splitlines()[0]
-    golden = (GOLDEN_DIR / "query_explain.txt").read_text(encoding="utf-8")
-    assert naive_line == golden.splitlines()[0]
-
-
 def test_lint_query_json_pinned(capsys):
     assert cli_main(["lint-query", _LINT_QUERY, "--json"]) == 0
     _check_golden("lint_query.json", capsys.readouterr().out)

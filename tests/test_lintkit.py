@@ -392,14 +392,5 @@ def test_cli_module_runs_clean():
     assert "clean" in result.stdout
 
 
-def test_check_error_taxonomy_wrapper_still_works():
-    result = subprocess.run(
-        [sys.executable, "tools/check_error_taxonomy.py"],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "error taxonomy ok" in result.stdout
-
-
 if __name__ == "__main__":  # pragma: no cover
     pytest.main([__file__, "-q"])

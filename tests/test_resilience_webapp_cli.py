@@ -261,17 +261,3 @@ class TestCliQuarantine:
                      "--full-fidelity", "--fail-fast", "--max-retries", "1",
                      "--out", path]) == 0
         assert os.path.exists(path)
-
-
-class TestErrorTaxonomyLint:
-    def test_tool_passes_on_this_tree(self):
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        result = subprocess.run(
-            [sys.executable, os.path.join(root, "tools",
-                                          "check_error_taxonomy.py")],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr

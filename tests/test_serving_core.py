@@ -211,6 +211,22 @@ class TestCoreRoutes:
         assert probed is not None and probed.status == 200
         assert core.counters["queries_executed"] == 1
 
+    def test_cohort_parses_its_query_once(self, core, monkeypatch):
+        # the ETag, the static analysis and the evaluation share one AST
+        from repro.query import parser
+
+        calls = []
+        real_parse = parser._Parser.parse
+
+        def counting_parse(self):
+            calls.append(self)
+            return real_parse(self)
+
+        monkeypatch.setattr(parser._Parser, "parse", counting_parse)
+        response = core.handle(_req("/cohort?q=concept%20T90%20and%20sex%20F"))
+        assert response.status == 200
+        assert len(calls) == 1
+
     def test_debug_sleep_absent_unless_enabled(self, wb):
         assert RequestCore(wb, ServingConfig()).handle(
             _req("/debug/sleep?s=0")

@@ -12,8 +12,8 @@ query corpus, then repairs the store and proves full equality (and
 byte-identical content tokens) is restored.
 
 It also covers the executor's pool-level self-healing: a worker killed
-mid-query (via the seeded worker-kill token) must still yield the full,
-correct answer — serially for the poisoned query, in parallel again
+mid-query (via the seeded worker-kill token) — on the patient path and
+on the sketch path alike — must still yield the full, correct answer — serially for the poisoned query, in parallel again
 after the rebuild probe — and the webapp must surface shard damage
 through ``/healthz`` 503s, the degraded banner and ``/stats``.
 """
@@ -42,7 +42,9 @@ from repro.shard import (
     repair_store,
     write_sharded_store,
 )
+from repro.shard.writer import subset_store
 from repro.simulate.fast import generate_store_fast
+from repro.sketch import build_sketch
 from repro.webapp import WorkbenchServer
 from repro.workbench import Workbench
 from tests.test_query_planner_property import _generated_corpus
@@ -134,8 +136,10 @@ def test_mixed_damage_modes_in_one_store(flat_store, tmp_path):
     assert "DEGRADED: 2 shard(s)" in engine.explain(parse_query("concept T90"))
 
 
-def test_worker_killed_mid_query_recovers_to_parallel(flat_store, tmp_path,
-                                                      monkeypatch):
+def _assert_worker_kill_heals(flat_store, tmp_path, monkeypatch, run,
+                              matches):
+    """A worker killed mid-scatter: the poisoned call completes serially
+    with the full answer, the next probes parallel again."""
     root = _build(flat_store, tmp_path)
     token = tmp_path / "kill-token"
     token.write_text("")
@@ -143,26 +147,47 @@ def test_worker_killed_mid_query_recovers_to_parallel(flat_store, tmp_path,
     sharded = ShardedEventStore(
         root, config=ShardConfig(on_damage="quarantine", n_workers=2)
     )
-    expr = parse_query("concept T90 or atleast 2 category gp_contact")
-    expected = np.asarray(QueryEngine(flat_store).patients(expr))
     with ParallelExecutor(config=sharded.config) as executor:
         # The poisoned query: one worker claims the token and dies, the
         # pool breaks, the query completes serially — full answer.
-        got = executor.patients(sharded, expr)
-        assert np.array_equal(np.asarray(got), expected)
+        got = run(executor, sharded)
+        assert matches(got)
         assert executor.pool_failures == 1
         assert executor.pool_fallbacks == 1
         assert not token.exists()  # the token was claimed exactly once
         assert executor.mode == "parallel"  # probe pending, not broken
         # The next query probes parallel again, spending one rebuild.
-        got = executor.patients(sharded, expr)
-        assert np.array_equal(np.asarray(got), expected)
+        got = run(executor, sharded)
+        assert matches(got)
         stats = executor.stats_dict()
         assert stats["pool_rebuilds"] == 1
         assert stats["parallel_queries"] >= 1
         assert executor.mode == "parallel"
     # Nothing was quarantined: the damage was a process, not the bytes.
     assert not sharded.degradation().is_degraded
+
+
+def test_worker_killed_mid_query_recovers_to_parallel(flat_store, tmp_path,
+                                                      monkeypatch):
+    expr = parse_query("concept T90 or atleast 2 category gp_contact")
+    expected = np.asarray(QueryEngine(flat_store).patients(expr))
+    _assert_worker_kill_heals(
+        flat_store, tmp_path, monkeypatch,
+        run=lambda executor, sharded: executor.patients(sharded, expr),
+        matches=lambda got: np.array_equal(np.asarray(got), expected),
+    )
+
+
+def test_worker_killed_mid_sketch_recovers_to_parallel(flat_store, tmp_path,
+                                                       monkeypatch):
+    expr = parse_query("concept T90 or atleast 2 category gp_contact")
+    ids = np.asarray(QueryEngine(flat_store).patients(expr))
+    expected = build_sketch(subset_store(flat_store, ids))
+    _assert_worker_kill_heals(
+        flat_store, tmp_path, monkeypatch,
+        run=lambda executor, sharded: executor.sketch_shards(sharded, expr),
+        matches=expected.content_equal,
+    )
 
 
 def test_parallel_executor_over_quarantined_store(flat_store, tmp_path):

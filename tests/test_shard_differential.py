@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 
 from repro.config import ShardConfig
-from repro.errors import ShardChecksumError, ShardFormatError, ShardStoreError
+from repro.errors import (
+    QueryError,
+    ShardChecksumError,
+    ShardFormatError,
+    ShardStoreError,
+)
 from repro.query.engine import QueryEngine
 from repro.shard import (
     ParallelExecutor,
@@ -109,13 +114,16 @@ def test_range_partition_equals_flat(flat_store, tmp_path_factory):
 
 
 def test_naive_scatter_gather_equals_flat(flat_store, tmp_path_factory):
-    """optimize=False rides the same per-shard path and must agree too."""
+    """Sharded planned evaluation equals the flat naive reference; the
+    naive evaluator itself is refused on a sharded store."""
     sharded = _sharded(flat_store, tmp_path_factory, 3)
     single = QueryEngine(flat_store, optimize=False)
-    engine = QueryEngine(sharded, optimize=False)
+    engine = QueryEngine(sharded)
     for query in _generated_corpus(flat_store, 99, 150):
         assert np.array_equal(engine.patients(query),
                               single.patients(query))
+    with pytest.raises(QueryError, match="reference evaluator"):
+        QueryEngine(sharded, optimize=False)
 
 
 def test_parallel_pool_equals_flat(flat_store, tmp_path_factory):

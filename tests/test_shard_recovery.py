@@ -3,13 +3,19 @@
 Every recovery decision in :class:`~repro.shard.executor.ParallelExecutor`
 is deterministic and observable, so these tests drive it with stubbed
 failure injections (a ``_parallel`` that raises ``BrokenProcessPool``, a
-``_eval_serial`` that fails N times, a recorded ``sleep``) and assert the
+per-shard task that fails N times, a recorded ``sleep``) and assert the
 exact state machine: fall back serially on a pool crash, probe parallel
 again spending one rebuild per probe, go permanently serial only when
 ``max_pool_rebuilds`` is exhausted; retry transient shard failures with
 seeded backoff, skip retries on definite damage, quarantine at query
 time only when the policy allows and the evidence (definite damage or an
 open breaker) demands it.
+
+Both scatter-gather entry points share that one recovery path, so every
+test runs twice: through ``patients`` (the ``TestPoolSelfHealing`` and
+``TestShardRecovery`` classes) and through ``sketch_shards`` (their
+``…Sketch`` subclasses), whose answers must be ``content_equal`` to the
+flat store's sketch.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+import repro.shard.executor as executor_module
 from repro.config import ShardConfig
 from repro.errors import (
     DeadlineExceededError,
@@ -27,7 +34,9 @@ from repro.errors import (
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.shard import ParallelExecutor, ShardedEventStore, write_sharded_store
+from repro.shard.writer import subset_store
 from repro.simulate.fast import generate_store_fast
+from repro.sketch import build_sketch
 
 N_SHARDS = 4
 
@@ -60,19 +69,69 @@ def _executor(root_config=None, **kwargs) -> ParallelExecutor:
     return executor
 
 
-class TestPoolSelfHealing:
-    def _crashing(self, executor, fail_times: int):
+class _PatientsPath:
+    """Drive ``ParallelExecutor.patients``; the oracle is the flat
+    store's sorted id array."""
+
+    task_name = "_shard_patients"
+
+    @staticmethod
+    def run(executor, sharded, expr):
+        return executor.patients(sharded, expr)
+
+    @staticmethod
+    def flat_answer(flat_store, expr, keep=None):
+        """The flat store's answer, restricted to ``keep`` patients."""
+        ids = np.asarray(QueryEngine(flat_store).patients(expr))
+        return ids if keep is None else np.intersect1d(ids, keep)
+
+    @staticmethod
+    def part(flat_store, ids):
+        """What one shard contributes for ``ids`` (a stub's sentinel)."""
+        return np.asarray(ids, dtype=np.int64)
+
+    @staticmethod
+    def same(got, expected) -> bool:
+        return np.array_equal(np.asarray(got), np.asarray(expected))
+
+
+class _SketchPath(_PatientsPath):
+    """Drive ``ParallelExecutor.sketch_shards``; the oracle is the
+    sketch of the flat store's matching rows."""
+
+    task_name = "_shard_sketch"
+
+    @staticmethod
+    def run(executor, sharded, expr):
+        return executor.sketch_shards(sharded, expr)
+
+    @staticmethod
+    def flat_answer(flat_store, expr, keep=None):
+        ids = _PatientsPath.flat_answer(flat_store, expr, keep)
+        return build_sketch(subset_store(flat_store, ids))
+
+    @staticmethod
+    def part(flat_store, ids):
+        return build_sketch(subset_store(flat_store, np.asarray(ids)))
+
+    @staticmethod
+    def same(got, expected) -> bool:
+        return got.content_equal(expected)
+
+
+class TestPoolSelfHealing(_PatientsPath):
+    def _crashing(self, executor, flat_store, fail_times: int):
         """Replace ``_parallel`` with a stub that crashes N times, then
         succeeds with a sentinel result."""
         calls = {"n": 0}
-        sentinel = np.asarray([1, 2, 3], dtype=np.int64)
+        sentinel = self.part(flat_store, [1, 2, 3])
 
-        def fake_parallel(sharded, expr, optimize, cache, deadline=None):
+        def fake_parallel(sharded, task, expr, cache, deadline):
             calls["n"] += 1
             if calls["n"] <= fail_times:
                 raise BrokenProcessPool("injected pool crash")
             executor.parallel_queries += 1
-            return sentinel
+            return [sentinel]
 
         executor._parallel = fake_parallel
         return calls, sentinel
@@ -80,53 +139,53 @@ class TestPoolSelfHealing:
     def test_crash_falls_back_then_probe_succeeds(self, flat_store, root,
                                                   expr):
         sharded = ShardedEventStore(root)
-        expected = np.asarray(QueryEngine(flat_store).patients(expr))
+        expected = self.flat_answer(flat_store, expr)
         executor = _executor(n_workers=2, max_pool_rebuilds=3)
-        calls, sentinel = self._crashing(executor, fail_times=1)
+        calls, sentinel = self._crashing(executor, flat_store, fail_times=1)
 
         # Query 1: pool crashes, the query still completes serially with
         # the full, correct answer.
-        got = executor.patients(sharded, expr)
-        assert np.array_equal(np.asarray(got), expected)
+        got = self.run(executor, sharded, expr)
+        assert self.same(got, expected)
         assert executor.pool_failures == 1
         assert executor.pool_fallbacks == 1
         assert executor.serial_queries == 1
         assert executor.mode == "parallel"  # a probe is still owed
 
         # Query 2: the probe spends one rebuild and sticks.
-        got = executor.patients(sharded, expr)
-        assert np.array_equal(np.asarray(got), sentinel)
+        got = self.run(executor, sharded, expr)
+        assert self.same(got, sentinel)
         assert executor.pool_rebuilds == 1
         assert executor.mode == "parallel"
         assert calls["n"] == 2
 
         # Query 3: healthy parallel again, no further rebuild spent.
-        executor.patients(sharded, expr)
+        self.run(executor, sharded, expr)
         assert executor.pool_rebuilds == 1
         assert executor.stats_dict()["parallel_queries"] == 2
 
     def test_budget_exhaustion_goes_permanently_serial(self, flat_store,
                                                        root, expr):
         sharded = ShardedEventStore(root)
-        expected = np.asarray(QueryEngine(flat_store).patients(expr))
+        expected = self.flat_answer(flat_store, expr)
         executor = _executor(n_workers=2, max_pool_rebuilds=2)
-        calls, __ = self._crashing(executor, fail_times=100)
+        calls, __ = self._crashing(executor, flat_store, fail_times=100)
 
         # Crash 1 + two probe crashes exhaust the rebuild budget.
         for __ in range(3):
-            got = executor.patients(sharded, expr)
-            assert np.array_equal(np.asarray(got), expected)
+            got = self.run(executor, sharded, expr)
+            assert self.same(got, expected)
         assert executor.pool_failures == 3
         assert executor.pool_rebuilds == 2
         # The budget is spent: mode already reports serial for the next
         # query, even before the permanent flag is set by running one.
         assert executor.mode == "serial"
 
-        got = executor.patients(sharded, expr)
-        assert np.array_equal(np.asarray(got), expected)
+        got = self.run(executor, sharded, expr)
+        assert self.same(got, expected)
         assert executor.mode == "serial"
         assert calls["n"] == 3  # the broken pool is never attempted again
-        executor.patients(sharded, expr)
+        self.run(executor, sharded, expr)
         assert calls["n"] == 3
         stats = executor.stats_dict()
         assert stats["mode"] == "serial"
@@ -135,36 +194,37 @@ class TestPoolSelfHealing:
     def test_close_is_idempotent_and_pool_respawns(self, flat_store, root,
                                                    expr):
         sharded = ShardedEventStore(root)
-        expected = np.asarray(QueryEngine(flat_store).patients(expr))
+        expected = self.flat_answer(flat_store, expr)
         with ParallelExecutor(config=ShardConfig(n_workers=2)) as executor:
-            got = executor.patients(sharded, expr)
-            assert np.array_equal(np.asarray(got), expected)
+            got = self.run(executor, sharded, expr)
+            assert self.same(got, expected)
             assert executor.parallel_queries == 1
             executor.close()
             executor.close()  # idempotent
             # A closed executor stays usable: the pool respawns lazily.
-            got = executor.patients(sharded, expr)
-            assert np.array_equal(np.asarray(got), expected)
+            got = self.run(executor, sharded, expr)
+            assert self.same(got, expected)
             assert executor.parallel_queries == 2
             assert executor.mode == "parallel"
             assert executor.pool_failures == 0
 
 
-class TestShardRecovery:
-    def _failing_eval(self, executor, bad_index: int, fail_times: int,
+class TestShardRecovery(_PatientsPath):
+    def _failing_task(self, monkeypatch, bad_index: int, fail_times: int,
                       exc_factory):
-        """``_eval_serial`` that fails ``fail_times`` times on one shard."""
-        real = executor._eval_serial
+        """The path's per-shard task, failing ``fail_times`` times on
+        one shard."""
+        real = getattr(executor_module, self.task_name)
         calls = {"n": 0}
 
-        def flaky(sharded, index, expr, optimize, cache):
+        def flaky(sharded, index, expr, cache):
             if index == bad_index:
                 calls["n"] += 1
                 if calls["n"] <= fail_times:
                     raise exc_factory()
-            return real(sharded, index, expr, optimize, cache)
+            return real(sharded, index, expr, cache)
 
-        executor._eval_serial = flaky
+        monkeypatch.setattr(executor_module, self.task_name, flaky)
         return calls
 
     @pytest.mark.parametrize("exc_factory", [
@@ -172,14 +232,15 @@ class TestShardRecovery:
         lambda: DeadlineExceededError("shard exceeded the per-shard budget"),
     ])
     def test_transient_failure_retried_to_success(self, flat_store, root,
-                                                  expr, exc_factory):
+                                                  expr, exc_factory,
+                                                  monkeypatch):
         sharded = ShardedEventStore(root)
-        expected = np.asarray(QueryEngine(flat_store).patients(expr))
+        expected = self.flat_answer(flat_store, expr)
         executor = _executor(n_workers=1, shard_max_retries=2)
-        self._failing_eval(executor, bad_index=1, fail_times=2,
+        self._failing_task(monkeypatch, bad_index=1, fail_times=2,
                            exc_factory=exc_factory)
-        got = executor.patients(sharded, expr)
-        assert np.array_equal(np.asarray(got), expected)
+        got = self.run(executor, sharded, expr)
+        assert self.same(got, expected)
         assert executor.shard_retries == 2
         assert len(executor._test_sleeps) == 2
         assert all(delay >= 0 for delay in executor._test_sleeps)
@@ -187,46 +248,44 @@ class TestShardRecovery:
         assert executor.open_breakers() == {}
         assert executor.query_time_quarantines == 0
 
-    def test_exhausted_transient_raises_under_fail_policy(self, root, expr):
+    def test_exhausted_transient_raises_under_fail_policy(self, root, expr,
+                                                          monkeypatch):
         sharded = ShardedEventStore(root)  # on_damage="fail" default
         executor = _executor(n_workers=1, shard_max_retries=2,
                              shard_failure_threshold=3)
-        self._failing_eval(
-            executor, bad_index=1, fail_times=100,
+        self._failing_task(
+            monkeypatch, bad_index=1, fail_times=100,
             exc_factory=lambda: ShardStoreError("persistent failure"),
         )
         with pytest.raises(ShardStoreError):
-            executor.patients(sharded, expr)
+            self.run(executor, sharded, expr)
         assert executor.shard_retries == 2
         assert executor.open_breakers() == {"shard-0001": "open"}
         assert executor.query_time_quarantines == 0
 
     def test_open_breaker_quarantines_under_quarantine_policy(
-            self, flat_store, root, expr):
+            self, flat_store, root, expr, monkeypatch):
         sharded = ShardedEventStore(
             root, config=ShardConfig(on_damage="quarantine"))
         executor = _executor(
             root_config=ShardConfig(on_damage="quarantine", n_workers=1,
                                     shard_max_retries=2,
                                     shard_failure_threshold=3))
-        self._failing_eval(
-            executor, bad_index=1, fail_times=100,
+        self._failing_task(
+            monkeypatch, bad_index=1, fail_times=100,
             exc_factory=lambda: ShardStoreError("persistent failure"),
         )
-        got = executor.patients(sharded, expr)
+        got = self.run(executor, sharded, expr)
         # 1 initial failure + 2 retries == the breaker threshold: the
         # shard is quarantined and the query completes degraded.
         assert executor.query_time_quarantines == 1
         degradation = sharded.degradation()
         assert degradation.quarantined_shards == ("shard-0001",)
-        expected = np.intersect1d(
-            np.asarray(QueryEngine(flat_store).patients(expr)),
-            sharded.patient_ids,
-        )
-        assert np.array_equal(np.asarray(got), expected)
+        expected = self.flat_answer(flat_store, expr, sharded.patient_ids)
+        assert self.same(got, expected)
 
-    def test_closed_breaker_raises_even_under_quarantine_policy(self, root,
-                                                                expr):
+    def test_closed_breaker_raises_even_under_quarantine_policy(
+            self, root, expr, monkeypatch):
         # One failure + one retry leaves the breaker below threshold:
         # transient trouble is not evidence enough to drop a shard.
         executor = _executor(
@@ -235,26 +294,26 @@ class TestShardRecovery:
                                     shard_failure_threshold=3))
         sharded = ShardedEventStore(
             root, config=ShardConfig(on_damage="quarantine"))
-        self._failing_eval(
-            executor, bad_index=2, fail_times=100,
+        self._failing_task(
+            monkeypatch, bad_index=2, fail_times=100,
             exc_factory=lambda: ShardStoreError("flaky but unproven"),
         )
         with pytest.raises(ShardStoreError):
-            executor.patients(sharded, expr)
+            self.run(executor, sharded, expr)
         assert executor.query_time_quarantines == 0
         assert not sharded.degradation().is_degraded
 
-    def test_definite_damage_skips_retries(self, root, expr):
+    def test_definite_damage_skips_retries(self, root, expr, monkeypatch):
         sharded = ShardedEventStore(
             root, config=ShardConfig(on_damage="quarantine"))
         executor = _executor(
             root_config=ShardConfig(on_damage="quarantine", n_workers=1))
-        self._failing_eval(
-            executor, bad_index=0, fail_times=100,
+        self._failing_task(
+            monkeypatch, bad_index=0, fail_times=100,
             exc_factory=lambda: ShardChecksumError(
                 "shard-0000", "patient", "aa", "bb"),
         )
-        executor.patients(sharded, expr)
+        self.run(executor, sharded, expr)
         assert executor.shard_retries == 0
         assert executor._test_sleeps == []
         assert executor.query_time_quarantines == 1
@@ -278,13 +337,19 @@ class TestShardRecovery:
             f.write(bytes([byte[0] ^ 0xFF]))
         executor = _executor(
             root_config=ShardConfig(on_damage="quarantine", n_workers=1))
-        got = executor.patients(sharded, expr)
+        got = self.run(executor, sharded, expr)
         assert executor.query_time_quarantines == 1
         degradation = sharded.degradation()
         assert degradation.quarantined_shards == ("shard-0002",)
         assert "checksum mismatch" in degradation.reasons[0]
-        expected = np.intersect1d(
-            np.asarray(QueryEngine(flat_store).patients(expr)),
-            sharded.patient_ids,
-        )
-        assert np.array_equal(np.asarray(got), expected)
+        expected = self.flat_answer(flat_store, expr, sharded.patient_ids)
+        assert self.same(got, expected)
+
+
+class TestPoolSelfHealingSketch(_SketchPath, TestPoolSelfHealing):
+    """The pool ladder, driven through ``sketch_shards``."""
+
+
+class TestShardRecoverySketch(_SketchPath, TestShardRecovery):
+    """Per-shard retries, breakers and quarantine, driven through
+    ``sketch_shards``."""
