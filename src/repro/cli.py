@@ -526,7 +526,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         ids = wb.select(args.query)[: args.rows]
         if args.align:
-            alignment = wb.align(Concept(args.align.upper()))
+            alignment = wb.align(Concept(args.align.upper()),
+                                 patient_ids=ids)
             scene = wb.timeline(ids, TimelineConfig(mode="aligned"),
                                 alignment)
         else:
@@ -556,7 +557,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.cohort.compare import compare_cohorts
 
         ids = wb.select(args.query)
-        comparison = compare_cohorts(wb.store, ids)
+        comparison = compare_cohorts(wb.store.rows(), ids)
         print(comparison.format_table(top=args.top))
         return 0
 
@@ -571,7 +572,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "recognition":
         ids = wb.select(args.query)
-        reference_day = int(wb.store.day.max())
+        reference_day = int(wb.store.rows().day.max())
         study = wb.recognition_study(ids, reference_day, seed=args.seed)
         print(f"cohort: {study.n_patients:,} patients")
         for outcome, value in study.as_percentages().items():

@@ -59,18 +59,16 @@ def summarize(
     patient_ids: np.ndarray | list[int] | None = None,
     top_n_codes: int = 10,
 ) -> CohortStats:
-    """Summarize the whole store or one patient subset."""
-    if patient_ids is None:
-        mask = np.ones(store.n_events, dtype=bool)
-        n_patients = store.n_patients
-    else:
-        ids = list(int(p) for p in patient_ids)
-        mask = store.mask_patients(ids)
-        n_patients = len(set(ids))
-    n_events = int(mask.sum())
+    """Summarize the whole store or one patient subset.
+
+    The subset is taken first (:meth:`EventStore.rows`), so every pass
+    below runs over the cohort's rows only.
+    """
+    store = store.rows(patient_ids)
+    n_patients, n_events = store.n_patients, store.n_events
 
     if n_events:
-        _, counts = np.unique(store.patient[mask], return_counts=True)
+        _, counts = np.unique(store.patient, return_counts=True)
         # Patients with zero events still count in the denominator.
         zeros = max(0, n_patients - len(counts))
         all_counts = np.concatenate((counts, np.zeros(zeros, dtype=counts.dtype)))
@@ -93,7 +91,7 @@ def summarize(
     for cat_idx, category in enumerate(store.categories):
         if category not in contact_categories:
             continue
-        cat_mask = mask & (store.category == cat_idx)
+        cat_mask = store.category == cat_idx
         if not cat_mask.any():
             continue
         sources, counts = np.unique(store.source[cat_mask], return_counts=True)
@@ -103,7 +101,7 @@ def summarize(
                 level_counts[level] += int(count)
 
     # Top codes.
-    coded = mask & (store.code >= 0)
+    coded = store.code >= 0
     code_counter: Counter[tuple[str, str]] = Counter()
     if coded.any():
         pairs, counts = np.unique(
@@ -122,7 +120,7 @@ def summarize(
     ]
 
     # Monthly utilization series (month index since epoch).
-    months = (store.day[mask] // 30).astype(np.int64)
+    months = (store.day // 30).astype(np.int64)
     month_ids, month_counts = np.unique(months, return_counts=True)
     monthly = dict(zip(month_ids.tolist(), month_counts.tolist()))
 

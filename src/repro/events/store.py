@@ -31,6 +31,12 @@ __all__ = ["EventStore", "EventStoreBuilder", "merge_stores"]
 _SEX_TO_INT = {"U": 0, "F": 1, "M": 2}
 _INT_TO_SEX = {v: k for k, v in _SEX_TO_INT.items()}
 
+#: Per-event columns (one entry per row), in content-token order.
+ROW_COLUMNS = ("patient", "day", "end", "is_point", "category", "system",
+               "code", "value", "value2", "source", "detail")
+#: Per-patient columns (one entry per patient id).
+PATIENT_COLUMNS = ("patient_ids", "birth_days", "sexes")
+
 
 def default_systems() -> dict[str, CodeSystem]:
     """The three code systems the paper's data uses."""
@@ -434,13 +440,10 @@ class EventStore:
         token = getattr(self, "_content_token", None)
         if token is None:
             digest = hashlib.blake2b(digest_size=16)
-            for array in (
-                self.patient, self.day, self.end, self.is_point,
-                self.category, self.system, self.code, self.value,
-                self.value2, self.source, self.detail,
-                self.patient_ids, self.birth_days, self.sexes,
-            ):
-                digest.update(np.ascontiguousarray(array).tobytes())
+            for name in ROW_COLUMNS + PATIENT_COLUMNS:
+                digest.update(
+                    np.ascontiguousarray(getattr(self, name)).tobytes()
+                )
             for table in (self.system_names, self.categories,
                           self.sources, self.details):
                 digest.update(repr(table).encode("utf-8"))
@@ -528,6 +531,35 @@ class EventStore:
         """Materialize a (sub-)cohort; omits patients not in the store."""
         ids = self.patient_ids.tolist() if patient_ids is None else patient_ids
         return Cohort(self.materialize(pid) for pid in ids)
+
+    def rows(self, patient_ids: Iterable[int] | None = None) -> "EventStore":
+        """The store restricted to ``patient_ids`` (``None``: ``self``).
+
+        Unknown ids are skipped.  Tables and code systems are shared, so
+        sub-store columns stay concatenable; rows are gathered from each
+        patient's contiguous range: O(selected rows), sort preserved.
+        """
+        if patient_ids is None:
+            return self
+        wanted = np.unique(np.fromiter(patient_ids, dtype=np.int64))
+        pos = np.searchsorted(self.patient_ids, wanted)
+        in_store = pos < len(self.patient_ids)
+        pos, wanted = pos[in_store], wanted[in_store]
+        pos = pos[self.patient_ids[pos] == wanted]
+        starts = self._row_start[pos]
+        lengths = self._row_end[pos] - starts
+        offsets = np.cumsum(lengths) - lengths
+        take = np.arange(int(lengths.sum())) + np.repeat(starts - offsets,
+                                                         lengths)
+        return EventStore(
+            systems=self.systems,
+            system_names=self.system_names,
+            categories=self.categories,
+            sources=self.sources,
+            details=self.details,
+            **{name: getattr(self, name)[take] for name in ROW_COLUMNS},
+            **{name: getattr(self, name)[pos] for name in PATIENT_COLUMNS},
+        )
 
     def __repr__(self) -> str:
         return f"EventStore({self.n_patients} patients, {self.n_events} events)"

@@ -268,13 +268,13 @@ def merge_stores(
     Without it, the merge is the fast array-level
     :func:`repro.events.store.merge_stores`, folded over the inputs.
 
-    A :class:`~repro.shard.store.ShardedEventStore` input is
-    materialized first (every shard merged into one in-memory store).
-    Materialization reads the *effective* view: pending delta segments
-    from incremental appends are resolved into each shard with
-    last-write-wins dedup, so a store with uncompacted deltas merges
-    identically to its compacted twin.  For populations too large to
-    materialize, re-shard instead of merging —
+    Every input contributes its ``rows()``: a
+    :class:`~repro.shard.store.ShardedEventStore` merges every shard
+    into one in-memory store first.  That merge reads the *effective*
+    view: pending delta segments from incremental appends are resolved
+    into each shard with last-write-wins dedup, so a store with
+    uncompacted deltas merges identically to its compacted twin.  For
+    populations too large to materialize, re-shard instead of merging —
     :func:`repro.shard.write_sharded_store` accepts a stream of stores.
     """
     import functools
@@ -284,13 +284,7 @@ def merge_stores(
 
     if not stores:
         raise EventModelError("merge_stores needs at least one store")
-    stores = tuple(
-        store.materialize_store()
-        if not isinstance(store, EventStore)
-        and hasattr(store, "materialize_store")
-        else store
-        for store in stores
-    )
+    stores = tuple(store.rows() for store in stores)
     if not deduplicate_events:
         return functools.reduce(merge_pair, stores)
 

@@ -124,9 +124,15 @@ class QueryEngine:
 
     @property
     def estimator(self) -> SelectivityEstimator:
-        """Per-store selectivity statistics, built on first use."""
+        """Per-store selectivity statistics, built on first use.  A
+        sharded store samples one active shard (hash partitions make it
+        uniform; estimates only order conjuncts and label plans)."""
         if self._estimator is None:
-            self._estimator = SelectivityEstimator(self.store)
+            store = self.store
+            if self.is_sharded:
+                active = store.active_indices()
+                store = store.shard(active[0]) if active else store.rows(())
+            self._estimator = SelectivityEstimator(store)
         return self._estimator
 
     # -- static analysis -----------------------------------------------------

@@ -675,7 +675,8 @@ class RequestCore:
         self._check_deadline(deadline)
         self.counters["renders"] += 1
         if align:
-            alignment = self.workbench.align(Concept(align.upper()))
+            alignment = self.workbench.align(Concept(align.upper()),
+                                             patient_ids=ids)
             scene = self.workbench.timeline(
                 ids, TimelineConfig(mode="aligned"), alignment
             )

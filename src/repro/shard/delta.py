@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.config import ShardConfig
 from repro.errors import EventModelError, ShardFormatError
-from repro.events.store import EventStore, default_systems
+from repro.events.store import ROW_COLUMNS, EventStore, default_systems
 from repro.shard.format import (
     open_segment_any,
     read_store_manifest,
@@ -57,7 +57,6 @@ from repro.shard.writer import (
     _remap_tables,
     hash_shard_of,
     shard_dir_name,
-    subset_store,
 )
 
 __all__ = [
@@ -76,9 +75,6 @@ DELTA_PREFIX = "delta-"
 #: Compaction tmp directories (cleaned as orphans when a crash strands one).
 COMPACT_TMP_PREFIX = ".compact-"
 
-#: The event-row columns of one segment, in store order.
-_EVENT_COLUMNS = ("patient", "day", "end", "is_point", "category", "system",
-                  "code", "value", "value2", "source", "detail")
 #: Identity columns: two rows with equal values here are *the same
 #: event* restated; value/value2/detail are the payload that
 #: last-write-wins replaces.
@@ -140,7 +136,7 @@ def resolve_segments(base: EventStore,
     # the resolve O(contested + delta) instead of O(shard) — the whole
     # point of landing a small nightly batch as a delta.
     base_cols = {
-        name: np.asarray(getattr(base, name)) for name in _EVENT_COLUMNS
+        name: np.asarray(getattr(base, name)) for name in ROW_COLUMNS
     }
     touched = np.unique(np.concatenate(
         [np.asarray(s.patient) for s in deltas]
@@ -154,7 +150,7 @@ def resolve_segments(base: EventStore,
             [base_cols[name][contested]]
             + [np.asarray(getattr(s, name)) for s in deltas]
         )
-        for name in _EVENT_COLUMNS
+        for name in ROW_COLUMNS
     }
     batch = np.concatenate(
         [np.zeros(int(contested.sum()), dtype=np.int64)]
@@ -180,7 +176,7 @@ def resolve_segments(base: EventStore,
         group_id = np.cumsum(new_group) - 1
         last_of_group = np.nonzero(np.append(new_group[1:], True))[0]
         keep = b == b[last_of_group][group_id]
-        kept = {name: cols[name][order][keep] for name in _EVENT_COLUMNS}
+        kept = {name: cols[name][order][keep] for name in ROW_COLUMNS}
         final = np.lexsort((kept["day"], kept["patient"]))
         kept = {name: array[final] for name, array in kept.items()}
     else:
@@ -190,7 +186,7 @@ def resolve_segments(base: EventStore,
     # single-key sort on patient restores the store invariant.
     kept = {
         name: np.concatenate([base_cols[name][~contested], kept[name]])
-        for name in _EVENT_COLUMNS
+        for name in ROW_COLUMNS
     }
     splice = np.argsort(kept["patient"], kind="stable")
     kept = {name: array[splice] for name, array in kept.items()}
@@ -343,7 +339,7 @@ class DeltaWriter:
                 )
             deltas = [dict(d) for d in entry.get("deltas") or []]
             _clean_orphan_deltas(shard_dir, {d["name"] for d in deltas})
-            piece = subset_store(batch, pids)
+            piece = batch.rows(pids)
             name = delta_dir_name(len(deltas))
             seg = write_replicated_segment(
                 piece, os.path.join(shard_dir, name), index,

@@ -96,14 +96,13 @@ def _shard_sketch(sharded, index: int, expr, cache):
     of aggregate-first rendering.  A sketch is a few kilobytes of numpy
     arrays, independent of shard row count, so it pickles back cheaply.
     """
-    from repro.shard.writer import subset_store  # noqa: PLC0415 (cycle)
     from repro.sketch import build_sketch  # noqa: PLC0415 (cycle)
 
     if expr is None:
         return sharded.shard_sketch(index)
     shard = sharded.shard(index)
     ids = QueryEngine(shard, cache=cache).patients(expr)
-    return build_sketch(subset_store(shard, np.asarray(ids)))
+    return build_sketch(shard.rows(ids))
 
 
 def _run_shard(task, path: str, index: int, expr,

@@ -53,6 +53,7 @@ import tempfile
 import numpy as np
 
 from repro.errors import ShardChecksumError, ShardFormatError
+from repro.events.store import PATIENT_COLUMNS, ROW_COLUMNS
 from repro.events.store import EventStore, default_systems
 from repro.resilience.faults import crashpoint
 
@@ -82,11 +83,7 @@ MANIFEST_NAME = "manifest.json"
 
 #: Event columns followed by the patient (demographics) columns —
 #: together the full columnar state of one :class:`EventStore`.
-COLUMNS = (
-    "patient", "day", "end", "is_point", "category", "system", "code",
-    "value", "value2", "source", "detail",
-    "patient_ids", "birth_days", "sexes",
-)
+COLUMNS = ROW_COLUMNS + PATIENT_COLUMNS
 
 
 def atomic_replace(path: str, write, durable: bool = False) -> None:

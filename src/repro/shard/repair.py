@@ -59,7 +59,7 @@ from repro.shard.format import (
     write_store_manifest,
 )
 from repro.shard.store import DAMAGE_LOG_NAME, QUARANTINE_DIR
-from repro.shard.writer import _remap_tables, hash_shard_of, subset_store
+from repro.shard.writer import _remap_tables, hash_shard_of
 
 __all__ = [
     "FsckReport",
@@ -507,17 +507,15 @@ def _resolve_source(source) -> EventStore | None:
     """
     if source is None:
         return None
-    if isinstance(source, EventStore):
-        return source
-    if hasattr(source, "materialize_store"):
-        return source.materialize_store()
-    if os.path.isdir(str(source)):
+    if isinstance(source, (str, os.PathLike)):
+        if not os.path.isdir(source):
+            from repro.io import load_store  # noqa: PLC0415 (cheap)
+
+            return load_store(str(source))
         from repro.shard.store import ShardedEventStore  # noqa: PLC0415
 
-        return ShardedEventStore(str(source)).materialize_store()
-    from repro.io import load_store  # noqa: PLC0415 (io imports are cheap)
-
-    return load_store(str(source))
+        source = ShardedEventStore(str(source))
+    return source.rows()
 
 
 def _load_columns(directory: str) -> dict | None:
@@ -648,7 +646,7 @@ def _shard_subset(source: EventStore, manifest: dict, index: int,
         else:
             ids = source.patient_ids
             pids = ids[(ids >= lo) & (ids <= hi)]
-    subset = subset_store(source, pids)
+    subset = source.rows(pids)
     if (subset.categories == manifest["categories"]
             and subset.sources == manifest["sources"]
             and subset.details == manifest["details"]):

@@ -14,12 +14,14 @@ patient-id results.  Each shard carries its own memoized
 ``content_token``, so the existing :class:`repro.query.cache.QueryCache`
 LRU memoizes per-shard sub-results unchanged — at shard granularity.
 
-For everything that genuinely needs the whole cohort in one coordinate
-system (timeline rendering, cohort statistics, CSV export), attribute
-access falls through to a lazily materialized merged ``EventStore``
-(globally re-sorted by ``(patient, day)``), so a ``ShardedEventStore``
-exposes the same mask/patient-array surface as a flat store; queries
-never touch the materialized view.
+Row consumers (cohort statistics, density overview, alignment, CSV
+export) go through one explicit method shared with the flat store:
+:meth:`ShardedEventStore.rows` takes the cohort's rows from each
+shard's effective view and merges only those, re-sorted by
+``(patient, day)``.  ``rows()`` with no ids is the whole-store merge —
+explicit and counted in ``row_materializations``.  There is no
+implicit fallthrough: an attribute the sharded store does not define
+is an ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from repro.errors import (
     ShardQuarantinedError,
     SketchError,
 )
-from repro.events.store import EventStore, default_systems
+from repro.events.store import PATIENT_COLUMNS, ROW_COLUMNS, EventStore
+from repro.events.store import EventStoreBuilder, default_systems
 from repro.io import append_jsonl, read_jsonl, rotate_jsonl
 from repro.shard.delta import pending_delta_stats, resolve_segments
 from repro.shard.format import (
@@ -136,12 +139,11 @@ class ShardedEventStore:
     """One logical event store backed by N on-disk shard segments.
 
     Construction reads only the root manifest; shards open on demand via
-    :meth:`shard`.  The store duck-types as an
-    :class:`~repro.events.store.EventStore`: per-patient lookups route
-    to the owning shard, and any other attribute (column arrays, mask
-    methods, decoding) resolves against the lazily materialized merged
-    store — correct everywhere, but O(total bytes) on first touch, so
-    the scatter-gather query path deliberately avoids it.
+    :meth:`shard`.  It shares the flat
+    :class:`~repro.events.store.EventStore`'s metadata tables, sizes and
+    per-patient lookups (routed to the owning shard), and
+    :meth:`rows` hands row consumers a flat store of just the patients
+    they need.  Column arrays and mask methods exist only per shard.
     """
 
     def __init__(self, path: str, config: ShardConfig | None = None) -> None:
@@ -843,55 +845,56 @@ class ShardedEventStore:
             self._patient_ids = merged
         return self._patient_ids
 
-    # -- whole-store fallback ------------------------------------------------
+    # -- rows --------------------------------------------------------------
+
+    def rows(self, patient_ids: Iterable[int] | None = None) -> EventStore:
+        """The given patients' rows as one flat ``EventStore``, equal to
+        ``EventStore.rows`` on the equivalent flat store: each active
+        shard's effective view gives its share (O(selected rows)), then
+        they merge.  ``None`` is the whole store: :meth:`materialize_store`.
+        """
+        if patient_ids is None:
+            return self.materialize_store()
+        wanted = np.fromiter(patient_ids, dtype=np.int64)
+        return self._concat([shard.rows(wanted)
+                             for shard in self.iter_shards()])
 
     def materialize_store(self) -> EventStore:
         """Merge every shard into one in-memory ``EventStore``.
 
-        Rows are re-sorted globally by ``(patient, day)``, so the result
-        is indistinguishable from loading the equivalent flat store —
-        the anchor for the viz/stats/export paths and for
-        :func:`repro.io.merge_stores`.  Cached after the first call.
+        The explicit whole-store export behind ``rows()``: counted in
+        ``row_materializations`` and cached until the next refresh.
         """
         if self._materialized is None:
             self.counters["row_materializations"] += 1
-            shards = list(self.iter_shards())
-            columns = {
-                name: np.concatenate(
-                    [np.asarray(getattr(s, name)) for s in shards]
-                )
-                for name in (
-                    "patient", "day", "end", "is_point", "category",
-                    "system", "code", "value", "value2", "source", "detail",
-                    "patient_ids", "birth_days", "sexes",
-                )
-            }
-            order = np.lexsort((columns["day"], columns["patient"]))
-            for name in ("patient", "day", "end", "is_point", "category",
-                         "system", "code", "value", "value2", "source",
-                         "detail"):
-                columns[name] = columns[name][order]
-            pid_order = np.argsort(columns["patient_ids"], kind="stable")
-            for name in ("patient_ids", "birth_days", "sexes"):
-                columns[name] = columns[name][pid_order]
-            self._materialized = EventStore(
-                systems=self.systems,
-                system_names=self.system_names,
-                categories=self.categories,
-                sources=self.sources,
-                details=self.details,
-                **columns,
-            )
+            self._materialized = self._concat(list(self.iter_shards()))
         return self._materialized
 
-    def __getattr__(self, name: str):
-        # Anything not implemented shard-wise (column arrays, mask
-        # methods, iter_events, ...) resolves against the materialized
-        # merged store.  Dunder lookups stay errors so copy/pickle
-        # protocols don't silently materialize gigabytes.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.materialize_store(), name)
+    def _concat(self, parts: list[EventStore]) -> EventStore:
+        """One store from patient-disjoint parts, sorted by (patient, day).
+
+        No parts (every shard quarantined) is an empty store that still
+        carries the manifest's tables.
+        """
+        parts = parts or [EventStoreBuilder(self.systems).build()]
+        columns = {
+            name: np.concatenate([np.asarray(getattr(p, name)) for p in parts])
+            for name in ROW_COLUMNS + PATIENT_COLUMNS
+        }
+        order = np.lexsort((columns["day"], columns["patient"]))
+        for name in ROW_COLUMNS:
+            columns[name] = columns[name][order]
+        pid_order = np.argsort(columns["patient_ids"], kind="stable")
+        for name in PATIENT_COLUMNS:
+            columns[name] = columns[name][pid_order]
+        return EventStore(
+            systems=self.systems,
+            system_names=self.system_names,
+            categories=self.categories,
+            sources=self.sources,
+            details=self.details,
+            **columns,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -60,46 +60,8 @@ def hash_shard_of(patient_ids: np.ndarray, n_shards: int) -> np.ndarray:
 
 
 def subset_store(store: EventStore, patient_ids: np.ndarray) -> EventStore:
-    """A store holding only the given patients (rows and demographics).
-
-    String tables and code systems are shared with the parent, not
-    re-interned — the point is that sub-store columns stay concatenable.
-    Rows keep their relative order, so the (patient, day) sort survives.
-    """
-    wanted = np.asarray(sorted(int(p) for p in patient_ids), dtype=np.int64)
-    row_mask = np.isin(store.patient, wanted)
-    pid_idx = np.searchsorted(store.patient_ids, wanted)
-    in_store = (pid_idx < len(store.patient_ids)) & (
-        store.patient_ids[np.minimum(pid_idx, len(store.patient_ids) - 1)]
-        == wanted
-    ) if len(store.patient_ids) else np.zeros(len(wanted), dtype=bool)
-    pid_idx = pid_idx[in_store]
-    return EventStore(
-        systems=store.systems,
-        system_names=store.system_names,
-        categories=store.categories,
-        sources=store.sources,
-        details=store.details,
-        patient=store.patient[row_mask],
-        day=store.day[row_mask],
-        end=store.end[row_mask],
-        is_point=store.is_point[row_mask],
-        category=store.category[row_mask],
-        system=store.system[row_mask],
-        code=store.code[row_mask],
-        value=store.value[row_mask],
-        value2=store.value2[row_mask],
-        source=store.source[row_mask],
-        detail=store.detail[row_mask],
-        patient_ids=store.patient_ids[pid_idx],
-        birth_days=store.birth_days[pid_idx],
-        sexes=store.sexes[pid_idx],
-    )
-
-
-def _empty_like(template: EventStore) -> EventStore:
-    """A zero-patient store sharing the template's tables and systems."""
-    return subset_store(template, np.empty(0, dtype=np.int64))
+    """A store holding only the given patients: :meth:`EventStore.rows`."""
+    return store.rows(patient_ids)
 
 
 def _remap_tables(shard: EventStore, categories, sources, details,
@@ -196,7 +158,7 @@ class ShardedStoreWriter:
             pids = store.patient_ids[assignment == index]
             if not len(pids) and self._pending[index] is not None:
                 continue
-            piece = subset_store(store, pids)
+            piece = store.rows(pids)
             pending = self._pending[index]
             self._pending[index] = (
                 piece if pending is None else _merge_pair(pending, piece)
@@ -233,7 +195,7 @@ class ShardedStoreWriter:
         for index in range(self.n_shards):
             shard = self._pending[index]
             if shard is None:
-                shard = _empty_like(template)
+                shard = template.rows(())  # zero patients, same tables
             if (shard.categories != categories or shard.sources != sources
                     or shard.details != details):
                 shard = _remap_tables(

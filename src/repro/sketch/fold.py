@@ -55,7 +55,6 @@ def effective_sketch(
         spec: binning parameters (must match the sketches).
     """
     from repro.shard.delta import resolve_segments
-    from repro.shard.writer import subset_store
 
     spec = spec or SketchSpec()
     stores = [base_store, *delta_stores]
@@ -68,7 +67,7 @@ def effective_sketch(
         # Patient-disjoint segments: the sidecar sum is already exact.
         return total
 
-    restricted = [subset_store(store, contested) for store in stores]
+    restricted = [store.rows(contested) for store in stores]
     for piece in restricted:
         total = total.subtract(build_sketch(piece, spec=spec))
     resolved = resolve_segments(restricted[0], restricted[1:])

@@ -320,7 +320,7 @@ def build_sketch(
     """Compute the exact sketch of an :class:`~repro.events.store.EventStore`.
 
     Works on any store (flat, shard segment, resolved shard view,
-    ``subset_store`` output); cost is one vectorized pass over the rows.
+    ``rows()`` subset); cost is one vectorized pass over the rows.
     """
     spec = spec or SketchSpec()
     if chapters is None:

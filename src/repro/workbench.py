@@ -130,9 +130,10 @@ class Workbench:
         """Serve a cohort straight from a sharded on-disk store.
 
         Queries run scatter-gather across the shard segments (see
-        :mod:`repro.shard`); rendering and statistics materialize
-        lazily.  ``shard_config`` tunes worker count, checksum
-        verification and memory mapping.
+        :mod:`repro.shard`); statistics, overviews and alignment take
+        only the cohort's rows from the shards (``store.rows(ids)``).
+        ``shard_config`` tunes worker count, checksum verification and
+        memory mapping.
         """
         from repro.shard import ShardedEventStore  # noqa: PLC0415 (cycle)
 
@@ -326,17 +327,25 @@ class Workbench:
         self, patient_ids: list[int] | np.ndarray | None = None
     ) -> CohortStats:
         """Summary statistics for the whole store or a subset."""
-        return summarize(self.store, patient_ids)
+        return summarize(self.store.rows(patient_ids))
+
+    def _rows_engine(self, patient_ids=None) -> QueryEngine:
+        """A query engine over the given patients' rows; the workbench's
+        own engine (cached masks and estimator) for the whole flat store."""
+        rows = self.store.rows(patient_ids)
+        return self.engine if rows is self.store else QueryEngine(rows)
 
     # -- alignment and patterns --------------------------------------------------
 
-    def align(self, expr: EventExpr, label: str = "") -> Alignment:
-        """Anchor patients at their first event matching ``expr``."""
-        return compute_alignment(self.engine, expr, label)
+    def align(self, expr: EventExpr, label: str = "",
+              patient_ids: list[int] | np.ndarray | None = None) -> Alignment:
+        """Anchor patients (default: everyone) at their first event
+        matching ``expr``."""
+        return compute_alignment(self._rows_engine(patient_ids), expr, label)
 
     def find_patterns(self, pattern: TemporalPattern) -> list[PatternMatch]:
         """All matches of a temporal pattern."""
-        return PatternSearcher(self.engine).find(pattern)
+        return PatternSearcher(self._rows_engine()).find(pattern)
 
     # -- visualization --------------------------------------------------------
 
@@ -362,7 +371,8 @@ class Workbench:
         :func:`repro.plugins.register_view`."""
         from repro.plugins import get_view  # noqa: PLC0415 (cycle)
 
-        return get_view(view_name)(self.store, [int(p) for p in patient_ids])
+        ids = [int(p) for p in patient_ids]
+        return get_view(view_name)(self.store.rows(ids), ids)
 
     def search_codes(self, text: str) -> dict[str, list[str]]:
         """Find codes in every system whose display name mentions ``text``.
@@ -378,13 +388,11 @@ class Workbench:
         }
 
     def overview(
-        self,
-        patient_ids: list[int] | np.ndarray | None = None,
-        mask: np.ndarray | None = None,
+        self, patient_ids: list[int] | np.ndarray | None = None
     ) -> DensityScene:
         """Render the density overview (the 'overview first' remedy for
         very large cohorts — see :mod:`repro.viz.density_view`)."""
-        return render_density(self.store, patient_ids, mask=mask)
+        return render_density(self.store.rows(patient_ids), patient_ids)
 
     # -- aggregate-first cohort views -----------------------------------------
 
@@ -411,12 +419,10 @@ class Workbench:
                 self.store, query, cache=self.engine.cache,
                 deadline=deadline,
             )
-        from repro.shard.writer import subset_store  # noqa: PLC0415 (cycle)
-
         if query is None:
             return build_sketch(self.store)
         ids = self.engine.patients(query, deadline=deadline)
-        return build_sketch(subset_store(self.store, ids))
+        return build_sketch(self.store.rows(ids))
 
     def cohort_density(
         self,
@@ -439,7 +445,7 @@ class Workbench:
                          else sketch.n_patients <= self.config.drilldown_rows)
         if use_drilldown and sketch.n_patients:
             ids = (self.select(query, deadline=deadline)
-                   if query is not None else None)
+                   if query is not None else self.store.patient_ids)
             return self.overview(ids)
         return render_cohort_density(sketch)
 
@@ -504,7 +510,8 @@ class Workbench:
     ) -> RecallStudy:
         """Simulate the patient trajectory-recognition survey (E6)."""
         return run_recognition_study(
-            self.store, patient_ids, reference_day, seed=seed
+            self.store.rows(patient_ids), patient_ids, reference_day,
+            seed=seed,
         )
 
     def __repr__(self) -> str:

@@ -240,6 +240,36 @@ def test_lk105_threshold_guard_passes(tmp_path):
     ), rel="src/repro/serving/core.py")
 
 
+_UNGUARDED_WHOLE_STORE_ROWS = (
+    "class Core:\n"
+    "    def _summary(self, request, deadline):\n"
+    "        ids = self.workbench.select(request.param('q'))\n"
+    "        cohort = self.store.rows(ids)\n"
+    "        return render(self.store.rows(), cohort)\n"
+)
+
+
+def test_lk105_whole_store_rows_flagged(tmp_path):
+    # On a sharded store ``rows()`` with no patient ids merges every
+    # shard; ``rows(ids)`` takes only the cohort and passes.
+    violations = _lint_snippet(
+        tmp_path, _UNGUARDED_WHOLE_STORE_ROWS, rel="src/repro/viz/views.py"
+    )
+    assert _rules_hit(violations) == {"LK105"}
+    assert [v.line for v in violations] == [5]
+    assert ".rows()" in violations[0].message
+
+
+def test_lk105_guarded_whole_store_rows_passes(tmp_path):
+    assert not _lint_snippet(tmp_path, (
+        "class Core:\n"
+        "    def _summary(self, request, deadline):\n"
+        "        if self.store.n_patients <= self.config.drilldown_rows:\n"
+        "            return render(self.store.rows())\n"
+        "        return render_sketch(self.store.store_sketch())\n"
+    ), rel="src/repro/serving/core.py")
+
+
 def test_lk105_applies_to_viz_code(tmp_path):
     violations = _lint_snippet(
         tmp_path, _UNGUARDED_MATERIALIZE, rel="src/repro/viz/views.py"

@@ -122,11 +122,14 @@ class TestLazyStore:
         sharded = ShardedEventStore(shard_path)
         assert sharded.materialize_store().content_equal(store)
 
-    def test_getattr_falls_through_to_materialized(self, store, shard_path):
+    def test_no_implicit_whole_store_fallthrough(self, shard_path):
         sharded = ShardedEventStore(shard_path)
-        # mask_category is an EventStore method the sharded view lacks.
-        mask = sharded.mask_category("gp_contact")
-        assert int(mask.sum()) == int(store.mask_category("gp_contact").sum())
+        # mask_category is an EventStore method the sharded view lacks;
+        # asking for it must not merge every shard's rows behind the
+        # caller's back.
+        with pytest.raises(AttributeError):
+            sharded.mask_category("gp_contact")
+        assert sharded.counters["row_materializations"] == 0
 
     def test_content_token_is_stable_and_cheap(self, shard_path):
         first = ShardedEventStore(shard_path)

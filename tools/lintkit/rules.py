@@ -29,7 +29,8 @@ Serving rules:
 
 * **LK105** — viz/serving code (``repro/webapp.py``,
   ``repro/serving/``, ``repro/viz/``) that materializes merged rows
-  (``.materialize_store()``, ``.to_flat()``) must have a row-threshold
+  (``.materialize_store()``, ``.to_flat()``, or ``.rows()`` without
+  patient ids — the whole store) must have a row-threshold
   guard in scope: cohort views are served from sketch folds by
   contract, so any row materialization on these paths must be an
   explicit, bounded drill-down — never an unconditional full scan.
@@ -251,6 +252,13 @@ class UnguardedMaterializationRule(Rule):
             ("src/repro/serving/", "src/repro/viz/")
         )
 
+    @staticmethod
+    def _whole_store_rows(call: ast.Call) -> bool:
+        """``x.rows()`` / ``x.rows(None)``: every shard's rows merged."""
+        args = [*call.args, *(k.value for k in call.keywords)]
+        return call.func.attr == "rows" and all(
+            isinstance(a, ast.Constant) and a.value is None for a in args)
+
     @classmethod
     def _mentions_guard(cls, func: ast.AST) -> bool:
         def _hit(name: str) -> bool:
@@ -279,7 +287,8 @@ class UnguardedMaterializationRule(Rule):
                 node for node in ast.walk(func)
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._MATERIALIZE_METHODS
+                and (node.func.attr in self._MATERIALIZE_METHODS
+                     or self._whole_store_rows(node))
             ]
             if not calls or self._mentions_guard(func):
                 continue
